@@ -2,17 +2,19 @@
 """Interleaved A/B comparison of two builds on one benchmark workload.
 
     python3 perfbench/ab.py --parent DIR_A --change DIR_B --workload NAME \
-        [--pairs 10] [--seed 9001] [--seconds 10]
+        [--seed 9001]
 
 DIR_A and DIR_B are two checkouts of the repository (the parent commit and
-the change), each holding its own perfbench/. Each pair runs both sides
-once on the same seed, alternating which side goes first. For every metric
-the run reports (the end-to-end metrics of the final JSON line and the
-workload's "detail" lines) it prints each side's median and quartiles, the
-share of pairs the change won (ties count for neither side), and whether
-the pairs support a gain: the change must win at least nine tenths of the
-pairs and the medians must differ by more than the parent's own spread
-(the distance between its quartiles).
+the change), each holding its own perfbench/. Ten pairs are run; each pair
+runs both sides once on the same seed for the run_seconds that the
+parent's BENCHMARK.json fixes (the length its bounds were measured at),
+alternating which side goes first. For every metric the run reports (the
+end-to-end metrics of the final JSON line and the workload's "detail"
+lines) it prints each side's median and quartiles, the share of pairs the
+change won (ties count for neither side), and whether the pairs support a
+gain: the change must win at least nine tenths of the pairs and the
+medians must differ by more than the parent's own spread (the distance
+between its quartiles).
 
 The default seed is the held-out seed, never used while tuning the
 benchmark; pass --seed to recheck a claim on another one.
@@ -26,13 +28,17 @@ import subprocess
 import sys
 
 HELD_OUT_SEED = 9001
+PAIRS = 10
 
 
-def directions(checkout):
-    """Metric name -> "lower" or "higher" from the checkout's contract;
-    detail metrics are lower-is-better except rates."""
+def load_spec(checkout):
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
-        spec = json.load(f)
+        return json.load(f)
+
+
+def directions(spec):
+    """Metric name -> "lower" or "higher" from the contract; detail
+    metrics are lower-is-better except rates."""
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
@@ -68,26 +74,24 @@ def main():
     p.add_argument("--parent", required=True, help="checkout of the parent")
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=HELD_OUT_SEED)
-    p.add_argument("--seconds", type=float, default=10)
     args = p.parse_args()
-    if args.pairs < 10:
-        p.error("at least 10 pairs are needed for a claim")
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-    known = directions(sides["parent"])
+    spec = load_spec(sides["parent"])
+    known = directions(spec)
+    seconds = spec["run_seconds"]
     runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             runs[side].append(run_once(sides[side], args.workload, args.seed,
-                                       args.seconds))
-        print("pair %d/%d done (%s first)" % (i + 1, args.pairs, order[0]),
+                                       seconds))
+        print("pair %d/%d done (%s first)" % (i + 1, PAIRS, order[0]),
               file=sys.stderr)
 
-    print("workload %s, seed %d, %d pairs, %g s per run" %
-          (args.workload, args.seed, args.pairs, args.seconds))
+    print("workload %s, seed %d, %d pairs, %d s per run" %
+          (args.workload, args.seed, PAIRS, seconds))
     print("%-24s %-6s %31s %31s %6s %s" %
           ("metric", "better", "parent q1/median/q3",
            "change q1/median/q3", "won", "verdict"))

@@ -40,6 +40,9 @@ const char* LayerName(Layer layer) {
     case Layer::kMatching: return "matching";
     case Layer::kWorker: return "core.worker";
     case Layer::kServeFrame: return "serve.frame";
+    case Layer::kGenLag: return "serve.gen_lag";
+    case Layer::kAdmit: return "serve.admit";
+    case Layer::kExec: return "serve.exec";
     case Layer::kQueryTokenize: return "text.query_tokenize";
     case Layer::kDeltaIngest: return "snapshot.delta.ingest";
     case Layer::kCount: break;

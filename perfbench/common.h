@@ -45,6 +45,11 @@ class Samples {
     return v_[rank - 1];
   }
   double Median() { return Percentile(50.0); }
+  double Sum() const {
+    double s = 0.0;
+    for (double v : v_) s += v;
+    return s;
+  }
   /// The highest of p99.9/p99/p95/p90/p75 that still has at least ten
   /// samples above it; 0 when even p75 does not (the report then states
   /// only the median).
@@ -106,21 +111,33 @@ struct Report {
 /// Peak resident set size of this process, MiB.
 double PeakRssMb();
 
-/// Calls `setup` at least 9 times and for at least 3 seconds, and returns
-/// the median wall time of one call in seconds. Spreading the calls over
-/// seconds keeps a short stall of a shared machine from deciding the
-/// median. The last call's state is what the caller keeps.
-template <typename F>
-double MedianSetup(F&& setup) {
-  Samples s;
-  const auto start = Clock::now();
-  while (s.size() < 9 || Seconds(start, Clock::now()) < 3.0) {
+/// Times repetitions of a workload's set-up spread over the whole run: a
+/// few back to back before the measured part, then one more whenever the
+/// run finds one Due(), `interval_s` after the last. The median of samples
+/// taken across the run, rather than in one burst at its start, is what a
+/// drifting shared machine moves least.
+class SetupTimer {
+ public:
+  explicit SetupTimer(double interval_s) : interval_s_(interval_s) {}
+
+  /// Times one call of `setup`.
+  template <typename F>
+  void Run(F&& setup) {
     const auto t0 = Clock::now();
     setup();
-    s.Add(Seconds(t0, Clock::now()));
+    last_ = Clock::now();
+    samples_.Add(Seconds(t0, last_));
   }
-  return s.Median();
-}
+  /// Whether the interval has passed since the last set-up ended.
+  bool Due() const { return Seconds(last_, Clock::now()) >= interval_s_; }
+  double Median() { return samples_.Median(); }
+  size_t size() const { return samples_.size(); }
+
+ private:
+  double interval_s_;
+  Samples samples_;
+  Clock::time_point last_ = Clock::now();
+};
 
 // --------------------------------------------------------------------------
 // Tracing: spans kept in memory per thread and written out at the end.
@@ -134,6 +151,11 @@ enum class Layer : uint8_t {
   kMatching,     ///< One MaxMatchingVerifier::ScoreDecision.
   kWorker,       ///< One worker's whole slice (root span).
   kServeFrame,   ///< One frame, due time to response.
+  kGenLag,       ///< Frame child: due time to send (generator lateness).
+  kAdmit,        ///< Frame child: the Submit() call (admission; an
+                 ///< ingest's inline apply).
+  kExec,         ///< Frame child: the frame's direct-replay execution
+                 ///< time, placed at the end of the frame.
   kQueryTokenize,///< BuildQueryBlock of a payload.
   kDeltaIngest,  ///< One DeltaShard::WithIngested replay.
   kCount,
@@ -166,10 +188,11 @@ class SpanBuffer {
     return static_cast<int32_t>(spans_.size() - 1);
   }
   void Close(int32_t idx) { spans_[idx].end = Clock::now(); }
-  /// Records an already-timed span.
-  void Add(Layer layer, uint32_t trace_id, Clock::time_point start,
-           Clock::time_point end, int32_t parent = -1) {
+  /// Records an already-timed span and returns its index.
+  int32_t Add(Layer layer, uint32_t trace_id, Clock::time_point start,
+              Clock::time_point end, int32_t parent = -1) {
     spans_.push_back(Span{start, end, parent, trace_id, layer});
+    return static_cast<int32_t>(spans_.size() - 1);
   }
   const std::vector<Span>& spans() const { return spans_; }
 

@@ -72,6 +72,8 @@ const std::vector<std::pair<const char*, const char*>>& LayerMetrics() {
       {"serve.exec_ms", "ms"},
       {"serve.overhead_ms", "ms"},
       {"serve.queue_wait_ms", "ms"},
+      {"serve.frame_coverage", "ratio"},
+      {"serve.heavy_load", "ratio"},
       {"serve.ingest_stall_ms", "ms"},
       {"serve.swap_stall_ms", "ms"},
       {"serve.gen_lag_ms", "ms"},

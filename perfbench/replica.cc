@@ -132,13 +132,13 @@ std::vector<SearchMatch> ReplicaSearchPass(
     const silkmoth::InvertedIndex& index, const silkmoth::Options& options,
     uint32_t exclude_set, silkmoth::SetIdRange scan_range, size_t top_k,
     silkmoth::QueryScratch* scratch, SpanBuffer* spans, uint32_t trace_id,
-    LayerCounters* c, MatchingProbe* probe) {
+    int32_t parent_span, LayerCounters* c, MatchingProbe* probe) {
   std::vector<SearchMatch> results;
   if (ref.Empty()) return results;
   const silkmoth::ElementSimilarity* sim =
       silkmoth::GetSimilarity(options.phi);
   silkmoth::SearchStats& st = c->funnel;
-  const int32_t pass = OpenSpan(spans, Layer::kCorePass, trace_id, -1);
+  const int32_t pass = OpenSpan(spans, Layer::kCorePass, trace_id, parent_span);
   ++st.references;
 
   silkmoth::SchemeParams params;

@@ -58,13 +58,14 @@ struct MatchingProbe {
 
 /// One search pass through the public layer functions. Same contract and
 /// output as silkmoth::RunSearchPass with the same arguments. `spans` may
-/// be null (no tracing); `probe` may be null (no re-executed probes).
+/// be null (no tracing); the pass's core.pass span is opened under
+/// `parent_span` (-1: a root). `probe` may be null (no re-executed probes).
 std::vector<silkmoth::SearchMatch> ReplicaSearchPass(
     const silkmoth::SetRecord& ref, const silkmoth::Collection& data,
     const silkmoth::InvertedIndex& index, const silkmoth::Options& options,
     uint32_t exclude_set, silkmoth::SetIdRange scan_range, size_t top_k,
     silkmoth::QueryScratch* scratch, SpanBuffer* spans, uint32_t trace_id,
-    LayerCounters* counters, MatchingProbe* probe);
+    int32_t parent_span, LayerCounters* counters, MatchingProbe* probe);
 
 /// Writes the per-layer metrics every traced run shares: busy and self
 /// times, counts, ratios, and the layer coverage of `worker_seconds`

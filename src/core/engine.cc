@@ -1,9 +1,9 @@
 #include "core/engine.h"
 
-#include <algorithm>
-#include <thread>
+#include <span>
 
 #include "core/query_scratch.h"
+#include "core/sharded_engine.h"
 
 namespace silkmoth {
 
@@ -53,70 +53,17 @@ std::vector<PairMatch> SilkMoth::DiscoverSelf(SearchStats* stats) const {
 std::vector<PairMatch> SilkMoth::Discover(const ReferenceBlock& block,
                                           SearchStats* stats) const {
   if (!ok()) return {};
-  const Collection& refs = *block.refs;
-  const bool self_join = block.self_join;
-  const uint32_t ref_begin = block.begin_id();
-  const uint32_t ref_end = block.end_id();
-  const uint32_t num_refs = block.NumRefs();
-  const int threads =
-      std::max(1, std::min<int>(options_.num_threads,
-                                static_cast<int>(num_refs == 0 ? 1
-                                                               : num_refs)));
-
-  const bool dedup_pairs =
-      self_join && SelfJoinReportsUnorderedPairs(options_.metric);
-
-  // One QueryScratch per worker: its dense arrays are sized to the data
-  // collection on the first reference and then reused — epoch stamping
-  // makes per-reference clearing a counter bump instead of an O(sets) wipe.
-  auto run_range = [&](uint32_t begin, uint32_t end,
-                       std::vector<PairMatch>* out, SearchStats* st,
-                       QueryScratch* scratch) {
-    for (uint32_t r = begin; r < end; ++r) {
-      const uint32_t exclude = self_join ? r : kNoExclude;
-      std::vector<SearchMatch> matches =
-          RunSearchPass(refs.sets[r], *data_, index_, options_, exclude, st,
-                        scratch);
-      for (const SearchMatch& m : matches) {
-        if (dedup_pairs && m.set_id < r) continue;
-        out->push_back(PairMatch{r, m.set_id, m.matching_score,
-                                 m.relatedness});
-      }
-    }
-  };
-
-  std::vector<PairMatch> results;
-  if (threads == 1) {
-    QueryScratch scratch;
-    run_range(ref_begin, ref_end, &results, stats, &scratch);
-  } else {
-    std::vector<std::vector<PairMatch>> partial(threads);
-    std::vector<SearchStats> partial_stats(threads);
-    std::vector<QueryScratch> scratches(threads);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const uint32_t chunk = (num_refs + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const uint32_t begin = ref_begin + std::min(num_refs, t * chunk);
-      const uint32_t end = ref_begin + std::min(num_refs, (t + 1) * chunk);
-      workers.emplace_back(run_range, begin, end, &partial[t],
-                           &partial_stats[t], &scratches[t]);
-    }
-    for (auto& w : workers) w.join();
-    for (int t = 0; t < threads; ++t) {
-      results.insert(results.end(), partial[t].begin(), partial[t].end());
-      if (stats != nullptr) stats->Merge(partial_stats[t]);
-    }
-  }
-
-  // External blocks carry the query-side accounting; stamped once, after
-  // the worker merge.
-  if (stats != nullptr && !self_join) {
-    stats->query_sets += num_refs;
-    stats->oov_tokens += block.oov_tokens;
-  }
-
-  std::sort(results.begin(), results.end(), PairMatchIdLess);
+  // The whole index is one shard. The default SetIdRange{} spans every set
+  // id, and DiscoverAcrossShards never treats it as an empty shard, so an
+  // external block over an empty collection still stamps its query-side
+  // counters (a {0, n} range would be skipped when n == 0).
+  const ShardView shard{SetIdRange{}, &index_};
+  ShardedSearchStats shard_stats;
+  if (stats != nullptr) shard_stats.Reset(1);
+  std::vector<PairMatch> results = DiscoverAcrossShards(
+      block, *data_, std::span<const ShardView>(&shard, 1), options_,
+      stats != nullptr ? &shard_stats : nullptr);
+  if (stats != nullptr) stats->Merge(shard_stats.per_shard[0]);
   return results;
 }
 

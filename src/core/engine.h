@@ -27,9 +27,9 @@ struct PairMatch {
   friend bool operator==(const PairMatch&, const PairMatch&) = default;
 };
 
-/// Canonical discovery output order: ascending (ref_id, set_id). Both the
-/// single-index and the sharded engine sort with this, which is what makes
-/// their outputs comparable byte-for-byte.
+/// Canonical discovery output order: ascending (ref_id, set_id). The
+/// discovery driver sorts with this and the shard-result merge checks it,
+/// which is what makes every mode's output comparable byte-for-byte.
 inline bool PairMatchIdLess(const PairMatch& a, const PairMatch& b) {
   if (a.ref_id != b.ref_id) return a.ref_id < b.ref_id;
   return a.set_id < b.set_id;
@@ -37,8 +37,8 @@ inline bool PairMatchIdLess(const PairMatch& a, const PairMatch& b) {
 
 /// True when a self-join under `metric` reports each unordered pair once
 /// (keeping ref_id < set_id): the symmetric SET-SIMILARITY case.
-/// SET-CONTAINMENT is asymmetric, so both directions are evaluated. Shared
-/// by every discovery implementation so the pair semantics cannot diverge.
+/// SET-CONTAINMENT is asymmetric, so both directions are evaluated. Shared so
+/// the discovery driver and any code replaying it cannot diverge.
 inline bool SelfJoinReportsUnorderedPairs(Relatedness metric) {
   return metric == Relatedness::kSimilarity;
 }
@@ -58,6 +58,11 @@ inline bool SelfJoinReportsUnorderedPairs(Relatedness metric) {
 ///   SilkMoth engine(&data, opt);
 ///   auto matches = engine.Search(reference_set); // RELATED SET SEARCH
 ///   auto pairs = engine.DiscoverSelf();          // RELATED SET DISCOVERY
+///
+/// Discovery runs through DiscoverAcrossShards (core/sharded_engine.h), the
+/// one driver every discovery mode shares, with this engine's index as the
+/// single shard; the worker threads and their QueryScratch live there.
+/// Search and SearchTopK run one search pass directly.
 ///
 /// ShardedEngine (core/sharded_engine.h) is the drop-in sharded variant:
 /// same queries, identical results, Options::num_shards indexes.
@@ -117,7 +122,6 @@ class SilkMoth {
   std::vector<PairMatch> DiscoverSelf(SearchStats* stats = nullptr) const;
 
  private:
-
   const Collection* data_;
   Options options_;
   InvertedIndex index_;

@@ -57,10 +57,12 @@ int Options::EffectiveQ() const {
 }
 
 std::string Options::Validate() const {
-  if (delta <= 0.0 || delta > 1.0) {
+  // Written as negated in-range tests so NaN (which fails every
+  // comparison) is rejected too.
+  if (!(delta > 0.0 && delta <= 1.0)) {
     return "delta must be in (0, 1]; got " + std::to_string(delta);
   }
-  if (alpha < 0.0 || alpha >= 1.0) {
+  if (!(alpha >= 0.0 && alpha < 1.0)) {
     return "alpha must be in [0, 1); got " + std::to_string(alpha);
   }
   if (IsEditSimilarity(phi)) {

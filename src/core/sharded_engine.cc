@@ -10,6 +10,7 @@ namespace silkmoth {
 std::vector<SetIdRange> ComputeShardRanges(const Collection& data,
                                            uint32_t num_shards) {
   const uint32_t num_sets = static_cast<uint32_t>(data.sets.size());
+  if (num_shards == 1) return {SetIdRange{0, num_sets}};
 
   // Per-set cost proxy: Σ over the set's element tokens of that token's
   // global occurrence count — the number of candidate postings a signature

@@ -28,6 +28,7 @@ namespace silkmoth {
 /// worker the wall clock), so the partition instead balances a per-set
 /// *cost proxy* — Σ over the set's element tokens of the token's global
 /// posting count, i.e. the candidate postings a probe of that set touches.
+/// A single shard is the whole collection and skips the cost passes.
 /// When the proxy degenerates to all-zero (token-free corpus) it falls back
 /// to element counts, then to one unit per set (the uniform split). Ranges
 /// are assigned by deterministic greedy prefix balancing: shard s takes
@@ -53,11 +54,14 @@ struct ShardView {
   const InvertedIndex* index = nullptr;  ///< Index over `range` (borrowed).
 };
 
-/// The one discovery driver behind every sharded execution mode — the
-/// in-process ShardedEngine and the out-of-process shard runner both call
-/// it, so the parity-critical loop (self-pair exclusion, unordered-pair
-/// dedup, worker chunking, stats discipline, canonical sort) cannot drift
-/// between them.
+/// The one discovery driver behind every execution mode. Its callers are
+/// SilkMoth::Discover (its whole index as one shard), ShardedEngine, the
+/// out-of-process shard runner, the CLI's `query` and `discover
+/// --snapshot` (snapshot shards plus an optional delta shard), the serve
+/// engine, and the bench runner. The parity-critical loop (self-pair
+/// exclusion, unordered-pair dedup, worker chunking, per-worker scratch,
+/// stats discipline, canonical sort) therefore exists once and cannot
+/// drift between them.
 ///
 /// Streams every reference of `block` through every shard in `shards`:
 /// up to options.num_threads workers each take a contiguous slice of the

@@ -68,48 +68,29 @@ size_t MaxMatchingVerifier::SelectElements(
   return reduced;
 }
 
-double MaxMatchingVerifier::ScoreDense(
+WeightMatrix MaxMatchingVerifier::FillMatrix(
     const std::vector<const Element*>& r_elems,
-    const std::vector<const Element*>& s_elems, MatchingStats* stats) const {
-  if (r_elems.empty() || s_elems.empty()) return 0.0;
-  WeightMatrix w(r_elems.size(), s_elems.size());
-  for (size_t i = 0; i < r_elems.size(); ++i) {
-    for (size_t j = 0; j < s_elems.size(); ++j) {
-      w.At(i, j) = sim_->ScoreThresholded(*r_elems[i], *s_elems[j], alpha_);
+    const std::vector<const Element*>& s_elems, std::vector<double>* row_max,
+    std::vector<double>* col_max, MatchingStats* stats) const {
+  const size_t rows = r_elems.size();
+  const size_t cols = s_elems.size();
+  WeightMatrix w(rows, cols);
+  row_max->assign(rows, 0.0);
+  col_max->assign(cols, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      const double v = sim_->ScoreThresholded(*r_elems[i], *s_elems[j], alpha_);
+      w.At(i, j) = v;
+      (*row_max)[i] = std::max((*row_max)[i], v);
+      (*col_max)[j] = std::max((*col_max)[j], v);
     }
   }
   if (stats != nullptr) {
-    stats->matrix_rows = r_elems.size();
-    stats->matrix_cols = s_elems.size();
-    stats->similarity_calls += r_elems.size() * s_elems.size();
+    stats->matrix_rows = rows;
+    stats->matrix_cols = cols;
+    stats->similarity_calls += rows * cols;
   }
-  return MaxWeightMatchingScore(w);
-}
-
-double MaxMatchingVerifier::ScoreWithAlignment(
-    const SetRecord& r, const SetRecord& s,
-    std::vector<AlignedPair>* alignment) const {
-  alignment->clear();
-  if (r.Empty() || s.Empty()) return 0.0;
-  WeightMatrix w(r.Size(), s.Size());
-  for (size_t i = 0; i < r.Size(); ++i) {
-    for (size_t j = 0; j < s.Size(); ++j) {
-      w.At(i, j) =
-          sim_->ScoreThresholded(r.elements[i], s.elements[j], alpha_);
-    }
-  }
-  std::vector<int> row_to_col;
-  const double score = MaxWeightMatching(w, &row_to_col);
-  for (size_t i = 0; i < r.Size(); ++i) {
-    const int j = row_to_col[i];
-    if (j < 0) continue;
-    const double pair_score = w.At(i, static_cast<size_t>(j));
-    if (pair_score > 0.0) {
-      alignment->push_back(AlignedPair{static_cast<uint32_t>(i),
-                                       static_cast<uint32_t>(j), pair_score});
-    }
-  }
-  return score;
+  return w;
 }
 
 double MaxMatchingVerifier::Score(const SetRecord& r, const SetRecord& s,
@@ -118,7 +99,13 @@ double MaxMatchingVerifier::Score(const SetRecord& r, const SetRecord& s,
   std::vector<const Element*> s_elems;
   const size_t reduced = SelectElements(r, s, &r_elems, &s_elems);
   if (stats != nullptr) stats->reduced_pairs = reduced;
-  return static_cast<double>(reduced) + ScoreDense(r_elems, s_elems, stats);
+  const double base = static_cast<double>(reduced);
+  if (r_elems.empty() || s_elems.empty()) return base;
+  std::vector<double> row_max;
+  std::vector<double> col_max;
+  const WeightMatrix w = FillMatrix(r_elems, s_elems, &row_max, &col_max,
+                                    stats);
+  return base + MaxWeightMatchingScore(w);
 }
 
 VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
@@ -153,22 +140,10 @@ VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
 
   const size_t rows = r_elems.size();
   const size_t cols = s_elems.size();
-  WeightMatrix w(rows, cols);
-  std::vector<double> row_max(rows, 0.0);
-  std::vector<double> col_max(cols, 0.0);
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < cols; ++j) {
-      const double v = sim_->ScoreThresholded(*r_elems[i], *s_elems[j], alpha_);
-      w.At(i, j) = v;
-      row_max[i] = std::max(row_max[i], v);
-      col_max[j] = std::max(col_max[j], v);
-    }
-  }
-  if (stats != nullptr) {
-    stats->matrix_rows = rows;
-    stats->matrix_cols = cols;
-    stats->similarity_calls += rows * cols;
-  }
+  std::vector<double> row_max;
+  std::vector<double> col_max;
+  const WeightMatrix w = FillMatrix(r_elems, s_elems, &row_max, &col_max,
+                                    stats);
 
   // Upper bound: every matched pair is at most its row maximum and its
   // column maximum, and each row/column hosts at most one pair.

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "matching/hungarian.h"
 #include "text/dataset.h"
 #include "text/similarity.h"
 
@@ -35,16 +36,6 @@ struct VerifyDecision {
   double lower = 0.0;    ///< Greedy-matching lower bound (incl. reduction).
   double upper = 0.0;    ///< Row/column-maxima upper bound (incl. reduction).
   bool exact = false;    ///< `score` is the exact maximum matching score.
-};
-
-/// One aligned element pair in a maximum matching, for explainability.
-struct AlignedPair {
-  uint32_t r_elem = 0;  ///< Element index in R.
-  uint32_t s_elem = 0;  ///< Element index in S.
-  double score = 0.0;   ///< φ_α of the pair (> 0; zero pairs are omitted).
-
-  /// Structural equality (indices and exact score).
-  friend bool operator==(const AlignedPair&, const AlignedPair&) = default;
 };
 
 /// Computes the maximum matching score |R ∩̃φα S| (Section 2.1).
@@ -111,13 +102,6 @@ class MaxMatchingVerifier {
                                bool need_exact_score = false,
                                double floor_theta = -1.0) const;
 
-  /// As Score, but also reports the alignment achieving it (pairs with
-  /// positive φ_α only, sorted by r_elem). Used for explaining why two sets
-  /// are related; always computed without the reduction so element indices
-  /// refer to the original sets.
-  double ScoreWithAlignment(const SetRecord& r, const SetRecord& s,
-                            std::vector<AlignedPair>* alignment) const;
-
   /// True when the reduction optimization will actually run.
   bool ReductionActive() const { return reduction_active_; }
 
@@ -128,9 +112,15 @@ class MaxMatchingVerifier {
                         std::vector<const Element*>* r_elems,
                         std::vector<const Element*>* s_elems) const;
 
-  double ScoreDense(const std::vector<const Element*>& r_elems,
-                    const std::vector<const Element*>& s_elems,
-                    MatchingStats* stats) const;
+  /// The one φ-matrix builder behind Score and ScoreDecision: fills the
+  /// φ_α weight matrix over the selected elements and, in the same pass,
+  /// their row and column maxima (ScoreDecision's upper bound and greedy
+  /// row order).
+  WeightMatrix FillMatrix(const std::vector<const Element*>& r_elems,
+                          const std::vector<const Element*>& s_elems,
+                          std::vector<double>* row_max,
+                          std::vector<double>* col_max,
+                          MatchingStats* stats) const;
 
   const ElementSimilarity* sim_;
   double alpha_;

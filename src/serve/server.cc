@@ -63,16 +63,9 @@ std::shared_ptr<ServeEngine::Generation> ServeEngine::MakeGeneration(
   auto gen = std::make_shared<Generation>();
   gen->snap = std::move(snap);
   gen->delta = std::move(delta);
-  gen->views.reserve(gen->snap->num_shards() + 1);
-  for (size_t s = 0; s < gen->snap->num_shards(); ++s) {
-    gen->views.push_back(
-        ShardView{gen->snap->shards[s].range, &gen->snap->shards[s].index});
-  }
   // The delta streams as one more shard; its view borrows the DeltaShard
   // the generation holds, so the epoch reference covers it too.
-  if (gen->delta != nullptr && gen->delta->delta_sets() > 0) {
-    gen->views.push_back(gen->delta->View());
-  }
+  gen->views = SnapshotShardViews(*gen->snap, gen->delta.get());
   return gen;
 }
 

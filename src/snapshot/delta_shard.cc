@@ -75,4 +75,17 @@ ShardView DeltaShard::View() const {
   return view;
 }
 
+std::vector<ShardView> SnapshotShardViews(const Snapshot& snap,
+                                          const DeltaShard* delta) {
+  std::vector<ShardView> views;
+  views.reserve(snap.num_shards() + 1);
+  for (const Snapshot::Shard& shard : snap.shards) {
+    views.push_back(ShardView{shard.range, &shard.index});
+  }
+  if (delta != nullptr && delta->delta_sets() > 0) {
+    views.push_back(delta->View());
+  }
+  return views;
+}
+
 }  // namespace silkmoth

@@ -10,6 +10,7 @@
 #include "core/sharded_engine.h"
 #include "datagen/builders.h"
 #include "index/inverted_index.h"
+#include "snapshot/snapshot.h"
 #include "text/dataset.h"
 #include "text/tokenizer.h"
 
@@ -114,6 +115,14 @@ class DeltaShard {
   size_t batches_ = 0;
   InvertedIndex index_;  ///< CSR over delta sets, global ids.
 };
+
+/// The shard list discovery over a loaded snapshot streams through: every
+/// snapshot shard in order, then `delta`'s View() when `delta` is non-null
+/// and holds sets (an empty delta adds no stats slot). The views borrow
+/// `snap` and `delta`. The CLI's `query` and `discover --snapshot` and the
+/// serve engine all build their lists here.
+std::vector<ShardView> SnapshotShardViews(const Snapshot& snap,
+                                          const DeltaShard* delta);
 
 }  // namespace silkmoth
 

@@ -44,6 +44,12 @@ expect_error "shard-run missing snapshot file" 1 "cannot open" -- \
   shard-run --snapshot "$TMP/nonexistent.snap" --shard 0 --out "$TMP/r.txt"
 expect_error "shard-run shard out of range" 2 "out of range" -- \
   shard-run --snapshot "$TMP/corpus.snap" --shard 7 --out "$TMP/r.txt"
+expect_error "shard-run shard id beyond u32" 2 "out of range" -- \
+  shard-run --snapshot "$TMP/corpus.snap" --shard 4294967296 --out "$TMP/r.txt"
+expect_error "shard-run shard id beyond long" 2 \
+  "invalid --shard value: 99999999999999999999" -- \
+  shard-run --snapshot "$TMP/corpus.snap" --shard 99999999999999999999 \
+  --out "$TMP/r.txt"
 expect_error "shard-run negative shard" 2 "shard-run needs --shard" -- \
   shard-run --snapshot "$TMP/corpus.snap" --shard -3 --out "$TMP/r.txt"
 expect_error "shard-run non-numeric shard" 2 "invalid --shard value: tow" -- \
@@ -73,6 +79,27 @@ expect_error "run negative retries" 2 "must be non-negative" -- \
   run --data "$TMP/corpus.txt" --retries -1
 expect_error "run malformed inject plan" 2 "invalid --inject value" -- \
   run --data "$TMP/corpus.txt" --inject frobnicate
+
+# Numeric query options must parse in full: a word or a trailing suffix is
+# rejected, never run as its numeric prefix (or as 0).
+expect_error "discover junk --alpha" 2 "invalid --alpha value: junk" -- \
+  discover --data "$TMP/corpus.txt" --alpha junk
+expect_error "discover junk --delta" 2 "invalid --delta value: 0.7junk" -- \
+  discover --data "$TMP/corpus.txt" --delta 0.7junk
+expect_error "discover junk --q" 2 "invalid --q value: 3x" -- \
+  discover --data "$TMP/corpus.txt" --q 3x
+expect_error "discover junk --threads" 2 "invalid --threads value: 2x" -- \
+  discover --data "$TMP/corpus.txt" --threads 2x
+expect_error "discover junk --shards" 2 "invalid --shards value: 1x" -- \
+  discover --data "$TMP/corpus.txt" --shards 1x
+expect_error "discover --delta beyond double" 2 \
+  "invalid --delta value: 1e999" -- \
+  discover --data "$TMP/corpus.txt" --delta 1e999
+expect_error "discover NaN --delta" 2 "delta must be in" -- \
+  discover --data "$TMP/corpus.txt" --delta nan
+expect_error "discover --threads beyond int" 2 \
+  "invalid --threads value: 4294967297" -- \
+  discover --data "$TMP/corpus.txt" --threads 4294967297
 
 # Shards run under different query options must not merge: the combined
 # stream would match no single-process run.

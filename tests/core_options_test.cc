@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace silkmoth {
 namespace {
 
@@ -30,6 +32,15 @@ TEST(OptionsTest, AlphaRange) {
   EXPECT_NE(o.Validate(), "");
   o.alpha = 0.99;
   EXPECT_EQ(o.Validate(), "");
+}
+
+TEST(OptionsTest, NanThresholdsRejected) {
+  Options o;
+  o.delta = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(o.Validate(), "");
+  o = Options{};
+  o.alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(o.Validate(), "");
 }
 
 TEST(OptionsTest, ThreadsPositive) {

@@ -307,5 +307,86 @@ TEST(ShardedEngineStats, MergeIsSlotWise) {
   EXPECT_EQ(c.per_shard[0].references, 7u);
 }
 
+// --- Engine funnel parity ----------------------------------------------------
+
+// SilkMoth::Discover runs the one DiscoverAcrossShards driver with its whole
+// index as a single shard, so it must agree with a one-shard ShardedEngine
+// on the pair list *and* on every deterministic counter, for every kind of
+// reference block and thread count.
+TEST(ShardedEngineFunnel, SingleIndexMatchesOneShardEngine) {
+  for (const ShardedCase& cfg :
+       {ShardedCase{"similarity_jaccard", Relatedness::kSimilarity,
+                    SimilarityKind::kJaccard, 0.6, 0.4},
+        ShardedCase{"containment_jaccard", Relatedness::kContainment,
+                    SimilarityKind::kJaccard, 0.7, 0.0}}) {
+    Collection data = MakeData(cfg, 40, /*seed=*/31);
+    DblpParams p;
+    p.num_titles = 12;
+    p.vocabulary = 80;  // Past the corpus vocabulary: some query OOV.
+    p.min_words = 2;
+    p.max_words = 6;
+    p.duplicate_rate = 0.35;
+    p.typo_rate = 0.3;
+    p.seed = 32;
+    Collection query;
+    const ReferenceBlock external = BuildQueryBlock(
+        GenerateDblpSets(p), TokenizerKind::kWord, 0, data, &query);
+    const uint32_t n = static_cast<uint32_t>(data.NumSets());
+    const std::vector<ReferenceBlock> blocks = {
+        ReferenceBlock::SelfJoin(data),
+        ReferenceBlock::SelfJoinRange(data, n / 4, n / 2), external};
+
+    for (int threads : {1, 4}) {
+      Options opt = MakeOptions(cfg);
+      opt.num_threads = threads;
+      SilkMoth single(&data, opt);
+      ASSERT_TRUE(single.ok()) << single.error();
+      ShardedEngine sharded(&data, opt);  // Default num_shards: one shard.
+      ASSERT_TRUE(sharded.ok()) << sharded.error();
+      ASSERT_EQ(sharded.num_shards(), 1u);
+      for (size_t b = 0; b < blocks.size(); ++b) {
+        SearchStats single_stats;
+        ShardedSearchStats sharded_stats;
+        const std::vector<PairMatch> pairs =
+            single.Discover(blocks[b], &single_stats);
+        if (b == 0) {
+          EXPECT_FALSE(pairs.empty()) << cfg.name << ": nothing to compare";
+        }
+        EXPECT_EQ(pairs, sharded.Discover(blocks[b], &sharded_stats))
+            << cfg.name << ": block " << b << " threads=" << threads;
+        EXPECT_EQ(single_stats.CountersJson(),
+                  sharded_stats.Total().CountersJson())
+            << cfg.name << ": block " << b << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// An empty indexed collection is still one whole-index shard to SilkMoth:
+// every query set runs a pass and is counted. A one-shard ShardedEngine
+// instead holds the empty range [0, 0), which the driver skips, so only the
+// pair lists are compared here.
+TEST(ShardedEngineFunnel, EmptyIndexStillCountsExternalQueries) {
+  Collection data = BuildCollection(RawSets{}, TokenizerKind::kWord);
+  Collection query;
+  const ReferenceBlock block = BuildQueryBlock(
+      RawSets{{"alpha beta"}, {"beta gamma", "delta"}, {"epsilon"}},
+      TokenizerKind::kWord, 0, data, &query);
+  for (int threads : {1, 4}) {
+    Options opt;
+    opt.num_threads = threads;
+    SilkMoth single(&data, opt);
+    ASSERT_TRUE(single.ok()) << single.error();
+    ShardedEngine sharded(&data, opt);
+    ASSERT_TRUE(sharded.ok()) << sharded.error();
+    SearchStats stats;
+    const std::vector<PairMatch> pairs = single.Discover(block, &stats);
+    EXPECT_TRUE(pairs.empty());
+    EXPECT_EQ(pairs, sharded.Discover(block));
+    EXPECT_EQ(stats.references, query.NumSets()) << "threads=" << threads;
+    EXPECT_EQ(stats.query_sets, query.NumSets()) << "threads=" << threads;
+  }
+}
+
 }  // namespace
 }  // namespace silkmoth

@@ -94,12 +94,14 @@
 //   --generate dblp|schema|columns N  (write a synthetic dataset instead)
 
 #include <atomic>
+#include <cerrno>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -240,25 +242,42 @@ struct CliArgs {
   std::string ingest_path;
 };
 
-/// strtol with full-string validation; false (and a stderr line) on junk.
+/// strtol with full-string validation; false (and a stderr line) on junk
+/// or on a value outside long's range.
 bool ParseLong(const char* flag, const char* v, long* out) {
   char* end = nullptr;
+  errno = 0;
   *out = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') {
+  if (end == v || *end != '\0' || errno == ERANGE) {
     std::fprintf(stderr, "invalid %s value: %s\n", flag, v);
     return false;
   }
   return true;
 }
 
-/// strtod with full-string validation; false (and a stderr line) on junk.
+/// strtod with full-string validation; false (and a stderr line) on junk
+/// or on a value strtod reports out of range.
 bool ParseDouble(const char* flag, const char* v, double* out) {
   char* end = nullptr;
+  errno = 0;
   *out = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
+  if (end == v || *end != '\0' || errno == ERANGE) {
     std::fprintf(stderr, "invalid %s value: %s\n", flag, v);
     return false;
   }
+  return true;
+}
+
+/// ParseLong narrowed to int: values outside int's range are junk too.
+bool ParseInt(const char* flag, const char* v, int* out) {
+  long wide = 0;
+  if (!ParseLong(flag, v, &wide)) return false;
+  if (wide < std::numeric_limits<int>::min() ||
+      wide > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "invalid %s value: %s\n", flag, v);
+    return false;
+  }
+  *out = static_cast<int>(wide);
   return true;
 }
 
@@ -369,16 +388,17 @@ bool ParseArgs(int argc, char** argv, int start, CliArgs* args) {
       }
     } else if (arg == "--delta") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.delta = std::atof(v);
+      if (v == nullptr || !ParseDouble("--delta", v, &args->opt.delta)) {
+        return false;
+      }
     } else if (arg == "--alpha") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.alpha = std::atof(v);
+      if (v == nullptr || !ParseDouble("--alpha", v, &args->opt.alpha)) {
+        return false;
+      }
     } else if (arg == "--q") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.q = std::atoi(v);
+      if (v == nullptr || !ParseInt("--q", v, &args->opt.q)) return false;
     } else if (arg == "--scheme") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -395,12 +415,14 @@ bool ParseArgs(int argc, char** argv, int start, CliArgs* args) {
       }
     } else if (arg == "--threads") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.num_threads = std::atoi(v);
+      if (v == nullptr || !ParseInt("--threads", v, &args->opt.num_threads)) {
+        return false;
+      }
     } else if (arg == "--shards") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.num_shards = std::atoi(v);
+      if (v == nullptr || !ParseInt("--shards", v, &args->opt.num_shards)) {
+        return false;
+      }
       args->shards_set = true;
     } else if (arg == "--workload") {
       const char* v = next();
@@ -735,6 +757,15 @@ bool LoadQueryBlock(const std::string& path, TokenizerKind tokenizer, int q,
   return true;
 }
 
+/// Prints discovery pairs in the one output format discover, query, merge
+/// and run share: ref_id, set_id, matching score, relatedness.
+void PrintPairLines(const std::vector<PairMatch>& pairs) {
+  for (const auto& p : pairs) {
+    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id,
+                p.matching_score, p.relatedness);
+  }
+}
+
 /// Prints the oracle-agreement line shared by discover/query: exact mode
 /// compares pairs bit-for-bit; --approx-scores compares the pair ids only
 /// (bound-reported scores legitimately differ from the oracle's solves).
@@ -764,6 +795,11 @@ int RunShard(const CliArgs& args) {
   }
   if (args.shard < 0) {
     std::fprintf(stderr, "shard-run needs --shard K (0-based)\n");
+    return ExitCode(CliExit::kUsage);
+  }
+  if (args.shard > std::numeric_limits<uint32_t>::max()) {
+    // Shard ids are u32: a larger value must not wrap onto a real shard.
+    std::fprintf(stderr, "shard id %ld out of range\n", args.shard);
     return ExitCode(CliExit::kUsage);
   }
   if (args.out_path.empty()) {
@@ -865,6 +901,89 @@ bool ReplayDeltaFile(const std::string& path, DeltaShard* delta) {
   return true;
 }
 
+/// A snapshot opened for in-process discovery, plus the delta replayed
+/// over it. Held in place by the caller: the delta borrows `snap.data`.
+struct OpenedSnapshot {
+  Snapshot snap;
+  std::unique_ptr<DeltaShard> delta;
+  int q = 0;  ///< Effective q-gram length of the snapshot (0 for words).
+
+  /// The candidate universe: base + delta once anything was replayed.
+  const Collection& corpus() const {
+    return delta->delta_sets() > 0 ? delta->combined() : snap.data;
+  }
+};
+
+/// The shared prefix of `query` and `discover --snapshot`: validates the
+/// options, loads --snapshot (mmap unless --copy-load), checks it against
+/// the options, and replays --delta-file into a fresh delta over it. With
+/// `print_load` the "# load:" summary line follows the load. Returns kOk,
+/// or the exit code after printing the diagnostic.
+CliExit OpenSnapshot(const CliArgs& args, bool print_load,
+                     OpenedSnapshot* out) {
+  const std::string opt_err = args.opt.Validate();
+  if (!opt_err.empty()) {
+    std::fprintf(stderr, "invalid options: %s\n", opt_err.c_str());
+    return CliExit::kUsage;
+  }
+  WallTimer load_timer;
+  SnapshotLoadStats load_stats;
+  const SnapshotLoadMode mode =
+      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
+  const std::string load_err =
+      LoadSnapshot(args.snapshot_path, &out->snap, mode, &load_stats);
+  if (!load_err.empty()) {
+    std::fprintf(stderr, "%s\n", load_err.c_str());
+    return LoadErrorExit(load_err);
+  }
+  if (print_load) {
+    std::printf("# load: %" PRIu64 " files, %" PRIu64 " bytes mapped, %" PRIu64
+                " bytes copied in %.3fs\n",
+                load_stats.files, load_stats.bytes_mapped,
+                load_stats.bytes_copied, load_timer.ElapsedSeconds());
+  }
+  const std::string compat_err = CheckSnapshotCompatible(out->snap, args.opt);
+  if (!compat_err.empty()) {
+    std::fprintf(stderr, "%s\n", compat_err.c_str());
+    return CliExit::kIncompatible;
+  }
+  out->q = out->snap.tokenizer == TokenizerKind::kQGram ? out->snap.q : 0;
+  out->delta = std::make_unique<DeltaShard>(&out->snap.data,
+                                            out->snap.tokenizer, out->q);
+  if (!ReplayDeltaFile(args.delta_file_path, out->delta.get())) {
+    return CliExit::kIo;
+  }
+  return CliExit::kOk;
+}
+
+/// Runs `block` over the opened snapshot's shards (plus the delta shard,
+/// when it holds sets) and prints the discover output: the pair count
+/// line, the pair lines, the optional oracle line and the optional stats
+/// dump. `query` is the external payload behind `block`, or nullptr for a
+/// self-join block; the oracle checks the matching brute-force mode.
+void RunSnapshotDiscovery(const CliArgs& args, const OpenedSnapshot& opened,
+                          const ReferenceBlock& block,
+                          const Collection* query) {
+  const Collection& corpus = opened.corpus();
+  const std::vector<ShardView> views =
+      SnapshotShardViews(opened.snap, opened.delta.get());
+  ShardedSearchStats stats;
+  stats.Reset(views.size());
+  WallTimer timer;
+  std::vector<PairMatch> pairs =
+      DiscoverAcrossShards(block, corpus, views, args.opt, &stats);
+  std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
+              timer.ElapsedSeconds());
+  PrintPairLines(pairs);
+  if (args.oracle_check) {
+    BruteForce oracle(&corpus, args.opt);
+    const std::vector<PairMatch> truth =
+        query != nullptr ? oracle.Discover(*query) : oracle.DiscoverSelf();
+    PrintOracleAgreement(pairs, truth, args.opt.exact_scores);
+  }
+  if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
+}
+
 // query: cross-collection discovery over a prebuilt snapshot, in one
 // process — load every shard (zero-copy mmap by default), tokenize the
 // query payload against the snapshot's dictionary, and stream it through
@@ -876,70 +995,19 @@ int RunQuery(const CliArgs& args) {
     std::fprintf(stderr, "query needs --snapshot and --input\n");
     return ExitCode(CliExit::kUsage);
   }
-  const std::string opt_err = args.opt.Validate();
-  if (!opt_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", opt_err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
-  WallTimer load_timer;
-  Snapshot snap;
-  SnapshotLoadStats load_stats;
-  const SnapshotLoadMode mode =
-      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
-  const std::string load_err =
-      LoadSnapshot(args.snapshot_path, &snap, mode, &load_stats);
-  if (!load_err.empty()) {
-    std::fprintf(stderr, "%s\n", load_err.c_str());
-    return ExitCode(LoadErrorExit(load_err));
-  }
-  std::printf("# load: %" PRIu64 " files, %" PRIu64 " bytes mapped, %" PRIu64
-              " bytes copied in %.3fs\n",
-              load_stats.files, load_stats.bytes_mapped,
-              load_stats.bytes_copied, load_timer.ElapsedSeconds());
-  const std::string compat_err = CheckSnapshotCompatible(snap, args.opt);
-  if (!compat_err.empty()) {
-    std::fprintf(stderr, "%s\n", compat_err.c_str());
-    return ExitCode(CliExit::kIncompatible);
-  }
   // Delta replay happens *before* query tokenization, so the payload sees
   // delta-interned token ids — the same dictionary state a compacted
   // snapshot would present.
-  const int q = snap.tokenizer == TokenizerKind::kQGram ? snap.q : 0;
-  DeltaShard delta(&snap.data, snap.tokenizer, q);
-  if (!ReplayDeltaFile(args.delta_file_path, &delta)) {
-    return ExitCode(CliExit::kIo);
-  }
-  const Collection& corpus =
-      delta.delta_sets() > 0 ? delta.combined() : snap.data;
+  OpenedSnapshot opened;
+  const CliExit open_exit = OpenSnapshot(args, /*print_load=*/true, &opened);
+  if (open_exit != CliExit::kOk) return ExitCode(open_exit);
   Collection query;
   ReferenceBlock block;
-  if (!LoadQueryBlock(args.query_path, snap.tokenizer, q, corpus, &query,
-                      &block)) {
+  if (!LoadQueryBlock(args.query_path, opened.snap.tokenizer, opened.q,
+                      opened.corpus(), &query, &block)) {
     return ExitCode(CliExit::kIo);
   }
-
-  std::vector<ShardView> views(snap.num_shards());
-  for (size_t s = 0; s < snap.num_shards(); ++s) {
-    views[s] = ShardView{snap.shards[s].range, &snap.shards[s].index};
-  }
-  if (delta.delta_sets() > 0) views.push_back(delta.View());
-  ShardedSearchStats stats;
-  stats.Reset(views.size());
-  WallTimer timer;
-  std::vector<PairMatch> pairs =
-      DiscoverAcrossShards(block, corpus, views, args.opt, &stats);
-  std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
-              timer.ElapsedSeconds());
-  for (const auto& p : pairs) {
-    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id, p.matching_score,
-                p.relatedness);
-  }
-  if (args.oracle_check) {
-    BruteForce oracle(&corpus, args.opt);
-    PrintOracleAgreement(pairs, oracle.Discover(query),
-                         args.opt.exact_scores);
-  }
-  if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
+  RunSnapshotDiscovery(args, opened, block, &query);
   return ExitCode(CliExit::kOk);
 }
 
@@ -955,59 +1023,16 @@ int RunDiscoverSnapshot(const CliArgs& args) {
                          "snapshot; drop --shards\n");
     return ExitCode(CliExit::kUsage);
   }
-  const std::string opt_err = args.opt.Validate();
-  if (!opt_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", opt_err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
-  Snapshot snap;
-  const SnapshotLoadMode mode =
-      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
-  const std::string load_err = LoadSnapshot(args.snapshot_path, &snap, mode);
-  if (!load_err.empty()) {
-    std::fprintf(stderr, "%s\n", load_err.c_str());
-    return ExitCode(LoadErrorExit(load_err));
-  }
-  const std::string compat_err = CheckSnapshotCompatible(snap, args.opt);
-  if (!compat_err.empty()) {
-    std::fprintf(stderr, "%s\n", compat_err.c_str());
-    return ExitCode(CliExit::kIncompatible);
-  }
-  const int q = snap.tokenizer == TokenizerKind::kQGram ? snap.q : 0;
-  DeltaShard delta(&snap.data, snap.tokenizer, q);
-  if (!ReplayDeltaFile(args.delta_file_path, &delta)) {
-    return ExitCode(CliExit::kIo);
-  }
-  const Collection& corpus =
-      delta.delta_sets() > 0 ? delta.combined() : snap.data;
+  OpenedSnapshot opened;
+  const CliExit open_exit = OpenSnapshot(args, /*print_load=*/false, &opened);
+  if (open_exit != CliExit::kOk) return ExitCode(open_exit);
   std::printf("# snapshot %s: generation %llu, %zu base sets + %zu delta "
               "sets\n",
               args.snapshot_path.c_str(),
-              static_cast<unsigned long long>(snap.generation),
-              snap.data.NumSets(), delta.delta_sets());
-
-  std::vector<ShardView> views(snap.num_shards());
-  for (size_t s = 0; s < snap.num_shards(); ++s) {
-    views[s] = ShardView{snap.shards[s].range, &snap.shards[s].index};
-  }
-  if (delta.delta_sets() > 0) views.push_back(delta.View());
-  ShardedSearchStats stats;
-  stats.Reset(views.size());
-  WallTimer timer;
-  const ReferenceBlock block = ReferenceBlock::SelfJoin(corpus);
-  std::vector<PairMatch> pairs =
-      DiscoverAcrossShards(block, corpus, views, args.opt, &stats);
-  std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
-              timer.ElapsedSeconds());
-  for (const auto& p : pairs) {
-    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id, p.matching_score,
-                p.relatedness);
-  }
-  if (args.oracle_check) {
-    BruteForce oracle(&corpus, args.opt);
-    PrintOracleAgreement(pairs, oracle.DiscoverSelf(), args.opt.exact_scores);
-  }
-  if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
+              static_cast<unsigned long long>(opened.snap.generation),
+              opened.snap.data.NumSets(), opened.delta->delta_sets());
+  RunSnapshotDiscovery(args, opened, ReferenceBlock::SelfJoin(opened.corpus()),
+                       nullptr);
   return ExitCode(CliExit::kOk);
 }
 
@@ -1170,10 +1195,7 @@ int RunMerge(const CliArgs& args) {
   if (!cov.complete) PrintCoverage(cov);
   // Exactly the discover output format, so merged out-of-process runs diff
   // clean against `discover --shards N` (comment lines aside).
-  for (const auto& p : pairs) {
-    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id, p.matching_score,
-                p.relatedness);
-  }
+  PrintPairLines(pairs);
   if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
   return ExitCode(cov.complete ? CliExit::kOk : CliExit::kPartialResult);
 }
@@ -1549,10 +1571,7 @@ int RunRun(const CliArgs& args, const char* argv0) {
   if (!cov.complete) PrintCoverage(cov);
   // The discover output format, byte-identical to `discover --shards N`
   // when every shard arrived (the cross-process parity contract).
-  for (const auto& p : pairs) {
-    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id, p.matching_score,
-                p.relatedness);
-  }
+  PrintPairLines(pairs);
   if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
 
   if (auto_workdir && !args.keep_workdir && report.ok) {
@@ -1743,10 +1762,7 @@ int RunMain(int argc, char** argv) {
                             : single->DiscoverSelf(&stats);
     std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
                 timer.ElapsedSeconds());
-    for (const auto& p : pairs) {
-      std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id,
-                  p.matching_score, p.relatedness);
-    }
+    PrintPairLines(pairs);
     if (args.oracle_check) {
       BruteForce oracle(&data, args.opt);
       PrintOracleAgreement(pairs, oracle.DiscoverSelf(),
